@@ -31,30 +31,25 @@ case "$preset" in
 esac
 # Determinism + architecture lint: simulator sources, benches, and tools.
 # The observed module include graph lands in $build_dir/include_graph.dot
-# (deterministic DOT) for review against DESIGN.md's dependency table, and
-# the hot-path cost report is diffed against the checked-in baseline
-# (tools/cost_baseline.json): any per-(file, rule) count increase inside an
-# annotated hot region — even a simlint:allow-suppressed one — fails here
-# until the baseline is updated deliberately. The shared-state inventory
-# (mutable-global / unguarded-shared / guarded-member counts) gets the same
-# gate against tools/state_baseline.json; a failure names the offending
-# (file, rule) pair. See DESIGN.md "Concurrency discipline" for the
-# regeneration recipe.
+# (deterministic DOT) for review against DESIGN.md's dependency table. The
+# lint report ($build_dir/lint_report.json) counts every hot-path cost and
+# shared-state site — simlint:allow-suppressed ones included — per (file,
+# rule) and is diffed against the checked-in tools/lint_baseline.json: any
+# increase fails here, naming the (file, rule) pair, until the baseline is
+# regenerated deliberately (recipe in DESIGN.md).
 "$build_dir/tools/simlint" --dot="$build_dir/include_graph.dot" \
-  --cost-report="$build_dir/cost_report.json" \
-  --cost-baseline=tools/cost_baseline.json \
-  --state-report="$build_dir/state_report.json" \
-  --state-baseline=tools/state_baseline.json \
+  --report="$build_dir/lint_report.json" \
+  --baseline=tools/lint_baseline.json \
   src bench tools
 
-# All lint artifacts are published for review: the include graph for
-# DESIGN.md's dependency table, the cost report for hot-path cost triage,
-# and the shared-state inventory for concurrency review.
+# Both lint artifacts are published for review: the include graph for
+# DESIGN.md's dependency table, and the lint report for hot-path cost
+# triage and concurrency review.
 artifact_dir="$build_dir/artifacts"
 mkdir -p "$artifact_dir"
-cp "$build_dir/include_graph.dot" "$build_dir/cost_report.json" \
-   "$build_dir/state_report.json" "$artifact_dir/"
-echo "ci: artifacts: $artifact_dir/include_graph.dot $artifact_dir/cost_report.json $artifact_dir/state_report.json"
+cp "$build_dir/include_graph.dot" "$build_dir/lint_report.json" \
+   "$artifact_dir/"
+echo "ci: artifacts: $artifact_dir/include_graph.dot $artifact_dir/lint_report.json"
 
 # clang-tidy gate (check set pinned by .clang-tidy at the repo root, run
 # against the compile database the configure step exports). The binary is

@@ -6,7 +6,8 @@
 // the per-event code regions; tools/simlint_hotpath.hpp then flags the
 // costly constructs *inside* them (heap allocation, std::string building,
 // by-value passing of large domain types, per-event map lookups) and
-// emits the deterministic cost report that tools/cost_baseline.json gates.
+// counts them in the deterministic lint report that tools/lint_baseline.json
+// gates.
 //
 // The macros expand to plain no-op statements — they exist as lexical
 // markers for the token-scanning linter (which strips comments, so the

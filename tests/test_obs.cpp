@@ -65,6 +65,34 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_FALSE(parse_json("").has_value());
 }
 
+TEST(ObsJson, ParserRejectsDeepNestingWithAnError) {
+  // 100k levels would overflow the stack of a recursive parser.
+  const std::size_t deep = 100000;
+  std::string error;
+  EXPECT_FALSE(
+      parse_json(std::string(deep, '[') + std::string(deep, ']'), &error)
+          .has_value());
+  EXPECT_NE(error.find("nesting deeper than 256"), std::string::npos) << error;
+  // The error names the offset of the first bracket past the limit.
+  EXPECT_NE(error.find("at offset 256"), std::string::npos) << error;
+  error.clear();
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\": ";
+  EXPECT_FALSE(parse_json(objects, &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
+TEST(ObsJson, ParserAcceptsNestingAtTheLimit) {
+  const std::string at_limit = std::string(kMaxJsonDepth, '[') +
+                               std::string(kMaxJsonDepth, ']');
+  std::string error;
+  const auto doc = parse_json(at_limit, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_TRUE(doc->is_array());
+  // Objects and arrays share the budget: one more level of either fails.
+  EXPECT_FALSE(parse_json("{\"a\": " + at_limit + "}").has_value());
+}
+
 // --- metrics registry --------------------------------------------------------
 
 TEST(ObsMetrics, CounterGaugeHistogramSemantics) {

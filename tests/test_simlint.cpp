@@ -1,30 +1,110 @@
-// Unit tests for the simlint rule engine (tools/simlint_core.hpp): each
-// rule's positive case, the idiomatic patterns that must stay clean, and
-// the simlint:allow escape hatch.
+// Unit tests for simlint: the shared source model and count inventory
+// (tools/simlint_source.hpp), then each analyzer's rules — every rule's
+// positive case, the idiomatic patterns that must stay clean, and the
+// simlint:allow escape hatch.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/simlint_core.hpp"
 #include "tools/simlint_hotpath.hpp"
 #include "tools/simlint_includes.hpp"
+#include "tools/simlint_source.hpp"
 #include "tools/simlint_state.hpp"
 
 namespace scion::lint {
 namespace {
 
+/// Lexes (name, content) pairs in order, as the driver does.
+std::vector<SourceFile> lex_all(
+    const std::vector<std::pair<std::string, std::string>>& named) {
+  std::vector<SourceFile> files;
+  for (const auto& [name, content] : named) files.push_back(lex(name, content));
+  return files;
+}
+
 std::vector<Finding> lint_one(const std::string& content,
                               const std::string& name = "src/x.cpp") {
-  Linter linter;
-  linter.add_file(name, content);
-  return linter.run();
+  return check_determinism({lex(name, content)});
+}
+
+std::vector<Finding> hot_one(const std::string& content,
+                             const std::string& name = "src/core/x.cpp") {
+  Counts counts;
+  return check_hot_paths({lex(name, content)}, counts);
+}
+
+/// The inventory the hot-path analyzer tallies for one file.
+Counts hot_counts(const std::string& content,
+                  const std::string& name = "src/core/x.cpp") {
+  Counts counts;
+  check_hot_paths({lex(name, content)}, counts);
+  return counts;
 }
 
 std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
   std::vector<std::string> out;
   for (const Finding& f : findings) out.push_back(f.rule);
   return out;
+}
+
+// --- source model ------------------------------------------------------------
+
+TEST(SimlintSource, CodeKeepsLiteralsAndBareBlanksThem) {
+  const SourceFile f = lex("src/a/b.cpp",
+                           "#include \"x/y.hpp\"  // note\n"
+                           "auto s = R\"(a /* b)\" + 'c'; /* d */ int e;\n");
+  ASSERT_EQ(f.lines.size(), 3u);  // the final newline ends an empty line
+  EXPECT_EQ(f.stem, "src/a/b");
+  EXPECT_EQ(f.lines[0].code, "#include \"x/y.hpp\"  ");
+  EXPECT_EQ(f.lines[0].bare, "#include    ");
+  EXPECT_EQ(f.lines[1].code, "auto s = R\"(a /* b)\" + 'c';   int e;");
+  EXPECT_EQ(f.lines[1].bare, "auto s = R  +  ;   int e;");
+}
+
+TEST(SimlintSource, MultiLineCommentsAndRawStringsSpanLines) {
+  const SourceFile f = lex("src/x.cpp",
+                           "int a; /* open\n"
+                           "still comment */ int b;\n"
+                           "auto r = R\"x(first\n"
+                           "second)x\"; int c;\n");
+  EXPECT_EQ(f.lines[0].bare, "int a; ");
+  EXPECT_EQ(f.lines[1].bare, " int b;");
+  EXPECT_EQ(f.lines[2].bare, "auto r = R");
+  EXPECT_EQ(f.lines[2].code, "auto r = R\"x(first");
+  EXPECT_EQ(f.lines[3].bare, " ; int c;");
+  EXPECT_EQ(f.lines[3].code, "second)x\"; int c;");
+}
+
+TEST(SimlintSource, AllowCoversTheLineAndTheLineBelow) {
+  const SourceFile f = lex("src/x.cpp",
+                           "// simlint:allow(a, b)\n"
+                           "x;  // simlint:allow(c)\n"
+                           "y;\n"
+                           "z;\n");
+  EXPECT_TRUE(f.lines[0].allows("a"));
+  EXPECT_TRUE(f.lines[1].allows("b"));
+  EXPECT_TRUE(f.lines[1].allows("c"));
+  EXPECT_FALSE(f.lines[2].allows("a"));
+  EXPECT_TRUE(f.lines[2].allows("c"));
+  EXPECT_TRUE(f.lines[3].allow.empty());
+}
+
+TEST(SimlintSource, DisabledRegionsNestAndEndAtElse) {
+  const SourceFile f = lex("src/x.cpp",
+                           "#if 0\n"
+                           "#ifdef A\n"
+                           "#endif\n"
+                           "dead;\n"
+                           "#else\n"
+                           "live;\n"
+                           "#endif\n");
+  std::vector<bool> disabled;
+  for (const SourceLine& line : f.lines) disabled.push_back(line.disabled);
+  EXPECT_EQ(disabled, (std::vector<bool>{true, true, true, true, true, false,
+                                         false, false}));
 }
 
 // --- wall-clock --------------------------------------------------------------
@@ -123,25 +203,22 @@ TEST(SimlintUnorderedIter, OrderedContainersAreClean) {
 }
 
 TEST(SimlintUnorderedIter, ResolvesDeclarationsAcrossStemGroup) {
-  // Member declared in the header, iterated in the companion .cpp.
-  Linter linter;
-  linter.add_file("src/foo.hpp",
-                  "struct S { std::unordered_map<int, int> table; };\n");
-  linter.add_file("src/foo.cpp", "for (const auto& [k, v] : table) use(k);\n");
-  // Same local name in an unrelated file must NOT inherit the type.
-  linter.add_file("src/bar.cpp", "for (const auto& e : table) use(e);\n");
-  const auto f = linter.run();
+  const auto f = check_determinism(lex_all({
+      // Member declared in the header, iterated in the companion .cpp.
+      {"src/foo.hpp", "struct S { std::unordered_map<int, int> table; };\n"},
+      {"src/foo.cpp", "for (const auto& [k, v] : table) use(k);\n"},
+      // Same local name in an unrelated file must NOT inherit the type.
+      {"src/bar.cpp", "for (const auto& e : table) use(e);\n"},
+  }));
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].file, "src/foo.cpp");
 }
 
 TEST(SimlintUnorderedIter, TrailingUnderscoreMembersAreGlobal) {
-  Linter linter;
-  linter.add_file("src/foo.hpp",
-                  "class C { std::unordered_map<int, int> cache_; };\n");
-  linter.add_file("src/other.cpp",
-                  "for (const auto& [k, v] : cache_) use(k);\n");
-  const auto f = linter.run();
+  const auto f = check_determinism(lex_all({
+      {"src/foo.hpp", "class C { std::unordered_map<int, int> cache_; };\n"},
+      {"src/other.cpp", "for (const auto& [k, v] : cache_) use(k);\n"},
+  }));
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].file, "src/other.cpp");
 }
@@ -374,13 +451,65 @@ TEST(SimlintComments, HazardsInCommentsAreIgnored) {
           .empty());
 }
 
+// --- literals and disabled regions ------------------------------------------
+
+TEST(SimlintLiterals, HazardAfterCommentLikeLiteralIsFlagged) {
+  const auto f = lint_one(
+      "auto u = \"http://h\"; auto t = std::chrono::steady_clock::now();\n");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "wall-clock");
+  EXPECT_EQ(rules_of(lint_one("log(\"//\"); std::mt19937 gen;\n")),
+            std::vector<std::string>{"std-rng"});
+  const auto h = hot_one(
+      "SCION_HOT_FN\n"
+      "void f() {\n"
+      "  log(\"//\"); auto* p = new int{1};\n"
+      "}\n");
+  ASSERT_EQ(h.size(), 1u);
+  EXPECT_EQ(h[0].rule, "hot-alloc");
+  EXPECT_EQ(h[0].line, 3);
+}
+
+TEST(SimlintLiterals, BlockCommentOpenerInLiteralHidesNothing) {
+  const auto f = lint_one(
+      "const char* kGlob = \"src/*\";\n"
+      "auto t = std::chrono::steady_clock::now();\n"
+      "std::mt19937 gen;\n");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].rule, "wall-clock");
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_EQ(f[1].rule, "std-rng");
+  EXPECT_EQ(f[1].line, 3);
+}
+
+TEST(SimlintLiterals, HazardsSpelledInsideLiteralsAreIgnored) {
+  EXPECT_TRUE(lint_one("log(\"std::chrono::system_clock\");\n").empty());
+  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
+                      "void f() {\n"
+                      "  log(\"new std::string\");\n"
+                      "}\n")
+                  .empty());
+}
+
+TEST(SimlintLiterals, DisabledRegionsAreSkippedByEveryRule) {
+  EXPECT_TRUE(lint_one("#if 0\n"
+                       "std::mt19937 gen;\n"
+                       "#endif\n")
+                  .empty());
+  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
+                      "void f() {\n"
+                      "#if false\n"
+                      "  auto* p = new int{1};\n"
+                      "#endif\n"
+                      "}\n")
+                  .empty());
+}
+
 // --- include graph (architecture lint) ---------------------------------------
 
 std::vector<Finding> graph_one(const std::string& content,
                                const std::string& name = "src/util/x.hpp") {
-  IncludeGraph graph;
-  graph.add_file(name, content);
-  return graph.check();
+  return IncludeGraph{{lex(name, content)}}.check();
 }
 
 TEST(SimlintLayering, UpwardIncludeIsFlagged) {
@@ -478,12 +607,11 @@ TEST(SimlintLayering, AllowDirectiveSuppresses) {
 }
 
 TEST(SimlintCycle, ObservedCycleIsReported) {
-  IncludeGraph graph;
   // A synthetic two-module DAG where both directions are declared legal —
   // the per-edge check stays quiet, so only cycle detection can catch it.
-  graph.set_rules({{"a", {"b"}}, {"b", {"a"}}});
-  graph.add_file("src/a/a.hpp", "#include \"b/b.hpp\"\n");
-  graph.add_file("src/b/b.hpp", "#include \"a/a.hpp\"\n");
+  const IncludeGraph graph{lex_all({{"src/a/a.hpp", "#include \"b/b.hpp\"\n"},
+                                    {"src/b/b.hpp", "#include \"a/a.hpp\"\n"}}),
+                           {{"a", {"b"}}, {"b", {"a"}}}};
   const auto f = graph.check();
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "module-cycle");
@@ -491,20 +619,13 @@ TEST(SimlintCycle, ObservedCycleIsReported) {
 }
 
 TEST(SimlintCycle, RealTreeShapedGraphHasNoCycle) {
-  IncludeGraph graph;
-  graph.add_file("src/scion/sig.hpp", "#include \"core/pcb.hpp\"\n");
-  graph.add_file("src/core/pcb.hpp", "#include \"crypto/mac.hpp\"\n");
+  const IncludeGraph graph{
+      lex_all({{"src/scion/sig.hpp", "#include \"core/pcb.hpp\"\n"},
+               {"src/core/pcb.hpp", "#include \"crypto/mac.hpp\"\n"}})};
   EXPECT_TRUE(graph.check().empty());
 }
 
 // --- hot-path-cost analyzer --------------------------------------------------
-
-std::vector<Finding> hot_one(const std::string& content,
-                             const std::string& name = "src/core/x.cpp") {
-  HotPathAnalyzer a;
-  a.add_file(name, content);
-  return a.check();
-}
 
 TEST(SimlintHotPath, AllocInHotFnIsFlagged) {
   const auto f = hot_one(
@@ -637,14 +758,13 @@ TEST(SimlintHotPath, ByValueAnyCastIsFlagged) {
 }
 
 TEST(SimlintHotPath, TypeTableIsConfigurable) {
-  HotPathAnalyzer a;
-  a.set_hot_types({{"Huge", 4096}});
-  a.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f(Huge h) {\n"
-             "  Pcb pcb = other;\n"  // no longer in the table
-             "}\n");
-  const auto f = a.check();
+  Counts counts;
+  const auto f = check_hot_paths({lex("src/core/x.cpp",
+                                      "SCION_HOT_FN\n"
+                                      "void f(Huge h) {\n"
+                                      "  Pcb pcb = other;\n"  // not in table
+                                      "}\n")},
+                                 counts, {{"Huge", 4096}});
   ASSERT_EQ(f.size(), 1u);
   EXPECT_NE(f[0].message.find("4096"), std::string::npos);
 }
@@ -663,15 +783,16 @@ TEST(SimlintHotPath, MapLookupOnDeclaredMapIsFlagged) {
 }
 
 TEST(SimlintHotPath, MapMembersResolveAcrossFiles) {
-  HotPathAnalyzer a;
-  a.add_file("src/core/store.hpp",
-             "class S { std::map<int, int> buckets_; };\n");
-  a.add_file("src/core/admission.cpp",
-             "SCION_HOT_FN\n"
-             "void admit(int k) {\n"
-             "  use(buckets_[k]);\n"
-             "}\n");
-  const auto f = a.check();
+  Counts counts;
+  const auto f = check_hot_paths(
+      lex_all({{"src/core/store.hpp",
+                "class S { std::map<int, int> buckets_; };\n"},
+               {"src/core/admission.cpp",
+                "SCION_HOT_FN\n"
+                "void admit(int k) {\n"
+                "  use(buckets_[k]);\n"
+                "}\n"}}),
+      counts);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "hot-map-lookup");
   EXPECT_EQ(f[0].file, "src/core/admission.cpp");
@@ -687,29 +808,30 @@ TEST(SimlintHotPath, VectorIndexingIsClean) {
 }
 
 TEST(SimlintHotPath, AllowSuppressesButStillCounts) {
-  HotPathAnalyzer a;
-  a.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  // startup only, once per AS. simlint:allow(hot-alloc)\n"
-             "  auto* p = new int{1};\n"
-             "}\n");
-  EXPECT_TRUE(a.check().empty());
-  // The suppressed site still appears in the cost report — that is what
-  // the checked-in baseline budgets.
-  const std::string report = a.cost_report_json();
+  const std::string source =
+      "SCION_HOT_FN\n"
+      "void f() {\n"
+      "  // startup only, once per AS. simlint:allow(hot-alloc)\n"
+      "  auto* p = new int{1};\n"
+      "}\n";
+  EXPECT_TRUE(hot_one(source).empty());
+  // The suppressed site still appears in the report — that is what the
+  // checked-in baseline budgets.
+  const std::string report = report_json(hot_counts(source));
   EXPECT_NE(report.find("\"hot-alloc\": 1"), std::string::npos);
+  EXPECT_NE(report.find("\"hot-lines\": 5"), std::string::npos);
 }
 
 TEST(SimlintHotPath, CostReportIsDeterministic) {
   const auto build = [] {
-    HotPathAnalyzer a;
-    a.add_file("src/core/b.cpp",
-               "SCION_HOT_FN\nvoid f() {\n  x.push_back(1);\n}\n");
-    a.add_file("src/core/a.cpp",
-               "SCION_HOT_FN\nvoid g() {\n  auto* p = new int{1};\n}\n");
-    a.check();
-    return a.cost_report_json();
+    Counts counts;
+    check_hot_paths(
+        lex_all({{"src/core/b.cpp",
+                  "SCION_HOT_FN\nvoid f() {\n  x.push_back(1);\n}\n"},
+                 {"src/core/a.cpp",
+                  "SCION_HOT_FN\nvoid g() {\n  auto* p = new int{1};\n}\n"}}),
+        counts);
+    return report_json(counts);
   };
   const std::string report = build();
   EXPECT_EQ(report, build());
@@ -723,54 +845,45 @@ TEST(SimlintHotPath, BaselineDiffFlagsRegressionsOnly) {
       "void f() {\n"
       "  auto* p = new int{1};  // simlint:allow(hot-alloc)\n"
       "}\n";
-  HotPathAnalyzer a;
-  a.add_file("src/core/x.cpp", source);
-  a.check();
-  const std::string baseline = a.cost_report_json();
+  const std::string baseline = report_json(hot_counts(source));
 
   // Same counts: clean.
-  EXPECT_TRUE(a.diff_baseline(baseline).empty());
+  EXPECT_TRUE(diff_baseline(hot_counts(source), baseline).empty());
 
   // One more allowed allocation than the baseline: regression.
-  HotPathAnalyzer b;
-  b.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  auto* p = new int{1};  // simlint:allow(hot-alloc)\n"
-             "  auto* q = new int{2};  // simlint:allow(hot-alloc)\n"
-             "}\n");
-  b.check();
-  const auto regress = b.diff_baseline(baseline);
+  const auto regress = diff_baseline(
+      hot_counts("SCION_HOT_FN\n"
+                 "void f() {\n"
+                 "  auto* p = new int{1};  // simlint:allow(hot-alloc)\n"
+                 "  auto* q = new int{2};  // simlint:allow(hot-alloc)\n"
+                 "}\n"),
+      baseline);
   ASSERT_EQ(regress.size(), 1u);
-  EXPECT_EQ(regress[0].rule, "hot-cost-regression");
+  EXPECT_EQ(regress[0].rule, "baseline-regression");
   EXPECT_NE(regress[0].message.find("hot-alloc"), std::string::npos);
   EXPECT_NE(regress[0].message.find("2"), std::string::npos);
   EXPECT_NE(regress[0].message.find("1"), std::string::npos);
 
   // Fewer counts than the baseline (an improvement): clean.
-  HotPathAnalyzer c;
-  c.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  use(1);\n"
-             "}\n");
-  c.check();
-  EXPECT_TRUE(c.diff_baseline(baseline).empty());
+  EXPECT_TRUE(diff_baseline(hot_counts("SCION_HOT_FN\n"
+                                       "void f() {\n"
+                                       "  use(1);\n"
+                                       "}\n"),
+                            baseline)
+                  .empty());
 
   // A brand-new hot file is a regression against an empty baseline slot.
-  HotPathAnalyzer d;
-  d.add_file("src/core/fresh.cpp", source);
-  d.check();
-  EXPECT_EQ(d.diff_baseline(baseline).size(), 1u);
+  EXPECT_EQ(
+      diff_baseline(hot_counts(source, "src/core/fresh.cpp"), baseline).size(),
+      1u);
 }
 
 TEST(SimlintDot, OutputIsDeterministicAndSorted) {
   const auto build = [] {
-    IncludeGraph graph;
-    graph.set_rules({{"a", {"b"}}, {"b", {}}});
-    graph.add_file("src/a/x.hpp", "#include \"b/y.hpp\"\n"
-                                  "#include \"b/z.hpp\"\n");
-    return graph.to_dot();
+    return IncludeGraph{{lex("src/a/x.hpp", "#include \"b/y.hpp\"\n"
+                                            "#include \"b/z.hpp\"\n")},
+                        {{"a", {"b"}}, {"b", {}}}}
+        .to_dot();
   };
   const std::string dot = build();
   EXPECT_EQ(dot, build());
@@ -779,15 +892,27 @@ TEST(SimlintDot, OutputIsDeterministicAndSorted) {
   EXPECT_NE(dot.find("\"b\";"), std::string::npos);
 }
 
-
 // --- shared-state analyzer (simlint_state.hpp) -------------------------------
+
+/// Runs the shared-state rules with an empty allowlist (exercising the
+/// rules, not the built-in registry list); `counts` receives the tallies.
+std::vector<Finding> state_check(
+    const std::vector<std::pair<std::string, std::string>>& named,
+    Counts& counts) {
+  return check_shared_state(lex_all(named), counts, Allowlist{});
+}
 
 std::vector<Finding> state_lint_one(const std::string& content,
                                     const std::string& name = "src/x.cpp") {
-  StateAnalyzer a;
-  a.set_allowlist({});  // exercise the rules, not the built-in registry list
-  a.add_file(name, content);
-  return a.check();
+  Counts counts;
+  return state_check({{name, content}}, counts);
+}
+
+Counts state_counts(const std::string& content,
+                    const std::string& name = "src/x.cpp") {
+  Counts counts;
+  state_check({{name, content}}, counts);
+  return counts;
 }
 
 TEST(SimlintState, NamespaceScopeGlobalIsFlagged) {
@@ -963,30 +1088,29 @@ TEST(SimlintState, AllowOnMemberSuppresses) {
 }
 
 TEST(SimlintState, AllowlistSuppressesByFileAndName) {
-  StateAnalyzer a;
-  a.set_allowlist({{"src/obs/metrics.cpp", "registry"}});
-  a.add_file("src/obs/metrics.cpp",
-             "static MetricsRegistry registry;\n"
-             "static int g_other = 0;\n");
-  const auto f = a.check();
+  Counts counts;
+  const auto f = check_shared_state({lex("src/obs/metrics.cpp",
+                                         "static MetricsRegistry registry;\n"
+                                         "static int g_other = 0;\n")},
+                                    counts,
+                                    {{"src/obs/metrics.cpp", "registry"}});
   ASSERT_EQ(f.size(), 1u);
   EXPECT_NE(f[0].message.find("g_other"), std::string::npos);
 }
 
 TEST(SimlintState, ReportCountsAllowedSitesAndIsDeterministic) {
   const auto build = [] {
-    StateAnalyzer a;
-    a.set_allowlist({});
-    a.add_file("src/x.cpp",
-               "int g_a = 0;  // simlint:allow(mutable-global)\n"
-               "int g_b = 0;\n");
-    a.add_file("src/y.hpp",
-               "class C {\n"
-               "  std::mutex mu_;\n"
-               "  int n_ SCION_GUARDED_BY(mu_) = 0;\n"
-               "};\n");
-    a.check();
-    return a.state_report_json();
+    Counts counts;
+    state_check({{"src/x.cpp",
+                  "int g_a = 0;  // simlint:allow(mutable-global)\n"
+                  "int g_b = 0;\n"},
+                 {"src/y.hpp",
+                  "class C {\n"
+                  "  std::mutex mu_;\n"
+                  "  int n_ SCION_GUARDED_BY(mu_) = 0;\n"
+                  "};\n"}},
+                counts);
+    return report_json(counts);
   };
   const std::string report = build();
   EXPECT_EQ(report, build());
@@ -1000,43 +1124,65 @@ TEST(SimlintState, ReportCountsAllowedSitesAndIsDeterministic) {
 }
 
 TEST(SimlintState, BaselineDiffFlagsIncreasesOnly) {
-  StateAnalyzer a;
-  a.set_allowlist({});
-  a.add_file("src/x.cpp", "int g_a = 0;  // simlint:allow(mutable-global)\n");
-  a.check();
-  const std::string baseline = a.state_report_json();
+  const std::string baseline = report_json(
+      state_counts("int g_a = 0;  // simlint:allow(mutable-global)\n"));
 
   // Same counts: clean.
-  EXPECT_TRUE(a.diff_baseline(baseline).empty());
+  EXPECT_TRUE(
+      diff_baseline(
+          state_counts("int g_a = 0;  // simlint:allow(mutable-global)\n"),
+          baseline)
+          .empty());
 
   // One more global in the same file: exactly one regression finding that
   // names the file and the rule.
-  StateAnalyzer b;
-  b.set_allowlist({});
-  b.add_file("src/x.cpp",
-             "int g_a = 0;  // simlint:allow(mutable-global)\n"
-             "int g_b = 0;  // simlint:allow(mutable-global)\n");
-  b.check();
-  const auto regressions = b.diff_baseline(baseline);
+  const auto regressions = diff_baseline(
+      state_counts("int g_a = 0;  // simlint:allow(mutable-global)\n"
+                   "int g_b = 0;  // simlint:allow(mutable-global)\n"),
+      baseline);
   ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_EQ(regressions[0].rule, "state-regression");
+  EXPECT_EQ(regressions[0].rule, "baseline-regression");
   EXPECT_EQ(regressions[0].file, "src/x.cpp");
   EXPECT_NE(regressions[0].message.find("mutable-global"), std::string::npos);
 
   // A file absent from the baseline counts as zero everywhere.
-  StateAnalyzer c;
-  c.set_allowlist({});
-  c.add_file("src/fresh.cpp",
-             "int g_new = 0;  // simlint:allow(mutable-global)\n");
-  c.check();
-  EXPECT_EQ(c.diff_baseline(baseline).size(), 1u);
+  EXPECT_EQ(diff_baseline(state_counts("int g_new = 0;  "
+                                       "// simlint:allow(mutable-global)\n",
+                                       "src/fresh.cpp"),
+                          baseline)
+                .size(),
+            1u);
 
   // Fewer findings than baseline is fine (progress, not regression).
-  StateAnalyzer d;
-  d.set_allowlist({});
-  d.add_file("src/x.cpp", "void f();\n");
-  d.check();
-  EXPECT_TRUE(d.diff_baseline(baseline).empty());
+  EXPECT_TRUE(diff_baseline(state_counts("void f();\n"), baseline).empty());
+}
+
+// --- count inventory (simlint_source.hpp) ------------------------------------
+
+TEST(SimlintInventory, HotAndStateCountsShareOneReport) {
+  Counts counts;
+  check_hot_paths({lex("src/core/x.cpp",
+                       "SCION_HOT_FN\nvoid f() {\n  x.push_back(1);\n}\n")},
+                  counts);
+  state_check({{"src/core/x.cpp", "int g_a = 0;\n"}}, counts);
+  EXPECT_EQ(report_json(counts),
+            "{\n  \"version\": 2,\n  \"files\": [\n"
+            "    {\"file\": \"src/core/x.cpp\", \"counts\": {"
+            "\"guarded-member\": 0, \"hot-alloc\": 1, \"hot-copy-arg\": 0, "
+            "\"hot-lines\": 4, \"hot-map-lookup\": 0, \"hot-string\": 0, "
+            "\"hot-unlabeled-schedule\": 0, \"mutable-global\": 1, "
+            "\"unguarded-shared\": 0}}\n  ]\n}\n");
+}
+
+TEST(SimlintInventory, HotLinesAndGuardedMembersAreUngated) {
+  const Counts counts{{"src/x.cpp", {{"hot-lines", 9}, {"guarded-member", 3}}}};
+  EXPECT_TRUE(diff_baseline(counts, report_json({})).empty());
+  // Any gated rule is compared, including one an earlier report lacked.
+  const auto f = diff_baseline({{"src/x.cpp", {{"hot-string", 1}}}},
+                               report_json(counts));
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].file, "src/x.cpp");
+  EXPECT_EQ(f[0].line, 0);
 }
 
 }  // namespace

@@ -32,16 +32,17 @@
 // Like every simlint rule, a finding is silenced with
 // `// simlint:allow(<rule>)` on the offending line or the line above; the
 // directive documents why the cost is acceptable. Allowed sites still count
-// in the cost report (cost_report_json), so the checked-in baseline
-// (tools/cost_baseline.json) fails CI when suppressed cost creeps up —
-// the report is the budget, the lint is the gate.
+// in the lint inventory (simlint_source.hpp), together with a `hot-lines`
+// count per file, so the checked-in tools/lint_baseline.json fails CI when
+// suppressed cost creeps up — the report is the budget, the lint is the
+// gate.
 //
-// Scanning follows simlint_core.hpp conventions: token/regex per line,
-// comments stripped, members (trailing '_') visible corpus-wide, other
-// names visible within their path-stem group.
+// Scanning follows simlint_core.hpp conventions: regex per bare line
+// (comments and literals stripped), members (trailing '_') visible
+// corpus-wide, other names visible within their path-stem group.
 #pragma once
 
-#include <algorithm>
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
@@ -50,7 +51,7 @@
 #include <utility>
 #include <vector>
 
-#include "tools/simlint_core.hpp"
+#include "tools/simlint_source.hpp"
 
 namespace scion::lint {
 
@@ -66,6 +67,14 @@ struct HotType {
 /// Copying anything >= this many bytes per event is a finding.
 inline constexpr std::size_t kHotCopyBytesThreshold = 32;
 
+/// Counted rules; `hot-lines` counts the lines inside hot regions.
+inline const std::vector<std::string>& hot_rules() {
+  static const std::vector<std::string> kRules{
+      "hot-alloc", "hot-copy-arg", "hot-lines", "hot-map-lookup", "hot-string",
+      "hot-unlabeled-schedule"};
+  return kRules;
+}
+
 inline const std::vector<HotType>& default_hot_types() {
   static const std::vector<HotType> kTypes{
       {"AsEntry", 128},      // hop MAC 16 + signature 64 + peers vector
@@ -80,63 +89,12 @@ inline const std::vector<HotType>& default_hot_types() {
   return kTypes;
 }
 
-class HotPathAnalyzer {
- public:
-  void add_file(std::string name, std::string content) {
-    files_.emplace_back(std::move(name), std::move(content));
-  }
-
-  /// Overrides the type-size table (tests).
-  void set_hot_types(std::vector<HotType> types) {
-    hot_types_ = std::move(types);
-  }
-
-  /// Scans every registered file; returns unsuppressed findings in file
-  /// order and accumulates the per-file cost counts for cost_report_json().
-  std::vector<Finding> check();
-
-  /// Deterministic JSON cost artifact: per-file and total counts of every
-  /// hot-region match, *including* simlint:allow-suppressed sites. Written
-  /// by the driver's --cost-report=PATH; diffed against the checked-in
-  /// baseline by --cost-baseline=PATH.
-  std::string cost_report_json() const;
-
-  /// Compares the accumulated counts against a baseline report (the JSON
-  /// text produced by cost_report_json on an earlier tree). Any per-file
-  /// per-rule count above the baseline (files absent from the baseline
-  /// count as zero) is a "hot-cost-regression" finding naming the file,
-  /// rule, and both counts. Run check() first.
-  std::vector<Finding> diff_baseline(const std::string& baseline_json) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> files_;
-  std::vector<HotType> hot_types_ = default_hot_types();
-  // file -> rule -> count of matches inside hot regions (allowed included).
-  std::map<std::string, std::map<std::string, int>> counts_;
-  // file -> number of source lines inside hot regions.
-  std::map<std::string, int> hot_lines_;
-};
-
 namespace detail {
-
-/// Names declared as std::map / std::unordered_map (and multimap variants)
-/// in `content` — the receiver set for hot-map-lookup.
-inline std::vector<std::string> map_names(const std::string& content) {
-  static const std::regex kDecl{
-      R"((?:unordered_)?(?:map|multimap)\s*<[^;{}()]*?>\s*(\w+)\s*[;={(])"};
-  std::vector<std::string> names;
-  for (std::sregex_iterator it{content.begin(), content.end(), kDecl}, end;
-       it != end; ++it) {
-    names.push_back((*it)[1].str());
-  }
-  return names;
-}
 
 /// True when the line's code starts with `marker` (ignoring leading
 /// whitespace). Region markers are recognized only in statement position:
-/// that keeps marker names inside string literals (the analyzer's own
-/// sources, usage text, tests) and the `#define` lines in util/hot_path.hpp
-/// from opening phantom regions.
+/// that keeps the `#define` lines in util/hot_path.hpp and marker names
+/// inside expressions from opening phantom regions.
 inline bool starts_with_marker(std::string_view code, std::string_view marker) {
   std::size_t i = 0;
   while (i < code.size() &&
@@ -147,19 +105,16 @@ inline bool starts_with_marker(std::string_view code, std::string_view marker) {
 }
 
 /// Scans the balanced-paren argument list of a call whose '(' sits at
-/// `first_line_code[col]`; continuation lines come from `lines` starting at
-/// `line + 1` (line comments stripped). True when the argument text holds a
-/// case-insensitive "label" token. The scan is bounded to 32 lines; an
-/// unterminated list counts as labeled so the rule never false-positives on
-/// code the scanner cannot follow.
-inline bool call_args_have_label(const std::string& first_line_code,
-                                 const std::vector<std::string>& lines,
+/// column `col` of line `line`, continuing on the following bare lines.
+/// True when the argument text holds a case-insensitive "label" token. The
+/// scan is bounded to 32 lines; an unterminated list counts as labeled so
+/// the rule never false-positives on code the scanner cannot follow.
+inline bool call_args_have_label(const std::vector<SourceLine>& lines,
                                  std::size_t line, std::size_t col) {
   int depth = 0;
   std::string args;
   for (std::size_t j = line; j < lines.size() && j < line + 32; ++j) {
-    const std::string_view code =
-        j == line ? std::string_view{first_line_code} : code_part(lines[j]);
+    const std::string& code = lines[j].bare;
     for (std::size_t k = j == line ? col : 0; k < code.size(); ++k) {
       const char c = code[k];
       if (c == '(') {
@@ -179,16 +134,14 @@ inline bool call_args_have_label(const std::string& first_line_code,
   return true;  // unterminated within the window: give the benefit of doubt
 }
 
-inline void json_escape_into(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 }  // namespace detail
 
-inline std::vector<Finding> HotPathAnalyzer::check() {
+/// Scans every file; returns unsuppressed findings in file order and adds
+/// every hot-region match (allowed ones included) and the hot-lines count
+/// to `counts`.
+inline std::vector<Finding> check_hot_paths(
+    const std::vector<SourceFile>& files, Counts& counts,
+    const std::vector<HotType>& hot_types = default_hot_types()) {
   using namespace detail;
 
   static const std::regex kNew{R"(\bnew\b)"};
@@ -207,46 +160,29 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
   // the labeled ones via unqualified calls, which must not match.
   static const std::regex kSchedule{
       R"((?:\.|->)\s*(?:schedule_at|schedule_after|schedule_periodic|send)\s*\()"};
+  static const std::regex kMapDecl{
+      R"((?:unordered_)?(?:map|multimap)\s*<[^;{}()]*?>\s*(\w+)\s*[;={(])"};
 
   // By-value declarations / parameters / range-for bindings and by-value
   // any_casts of table types at or above the copy threshold.
   std::string alt;
-  for (const HotType& t : hot_types_) {
+  for (const HotType& t : hot_types) {
     if (t.bytes < kHotCopyBytesThreshold) continue;
     if (!alt.empty()) alt += '|';
     alt += t.name;
   }
   std::map<std::string, std::size_t, std::less<>> size_of;
-  for (const HotType& t : hot_types_) size_of.emplace(t.name, t.bytes);
+  for (const HotType& t : hot_types) size_of.emplace(t.name, t.bytes);
   const std::regex kCopyDecl{R"(\b()" + alt + R"()\s+\w+\s*[,)=;{(:])"};
   const std::regex kCopyCast{R"(\bany_cast<\s*()" + alt + R"()\s*>)"};
   const bool have_types = !alt.empty();
 
-  // Map receiver names: members (trailing '_') corpus-wide, the rest within
-  // their stem group (matching simlint_core's scoping rules).
-  std::set<std::string> global_maps;
-  std::set<std::pair<std::string, std::string>> local_maps;  // stem, name
-  for (const auto& [name, content] : files_) {
-    const std::string stem = stem_of(name);
-    for (std::string& id : [&] { return map_names(content); }()) {
-      if (!id.empty() && id.back() == '_') global_maps.insert(id);
-      local_maps.emplace(stem, std::move(id));
-    }
-  }
+  // Map receiver names (the lookup targets hot-map-lookup watches).
+  const auto maps_by_stem = scoped_names(files, kMapDecl);
 
   std::vector<Finding> findings;
-  counts_.clear();
-  hot_lines_.clear();
-  for (const auto& [name, content] : files_) {
-    const std::string stem = stem_of(name);
-    std::set<std::string> maps = global_maps;
-    for (const auto& [s, id] : local_maps) {
-      if (s == stem) maps.insert(id);
-    }
-
-    const std::vector<std::string> lines = split_lines(content);
-    std::vector<std::string> carried_allow;
-    bool in_block_comment = false;
+  for (const SourceFile& file : files) {
+    const std::set<std::string>& maps = maps_by_stem.at(file.stem);
     int depth = 0;
     // SCION_HOT_FN region: armed by the marker, the region spans from the
     // marker line (so signatures are scanned for by-value parameters) to
@@ -255,81 +191,42 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
     int fn_base_depth = -1;  // depth outside the hot function body
     int explicit_hot = 0;    // BEGIN/END nesting count
 
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const std::string& raw = lines[i];
-      std::vector<std::string> allow = allowed_rules(raw);
-      const std::vector<std::string> effective_allow = [&] {
-        std::vector<std::string> v = carried_allow;
-        v.insert(v.end(), allow.begin(), allow.end());
-        return v;
-      }();
-      carried_allow = std::move(allow);
+    for (std::size_t i = 0; i < file.lines.size(); ++i) {
+      const SourceLine& line = file.lines[i];
+      if (line.disabled) continue;
+      const std::string& code = line.bare;
 
-      std::string_view code = code_part(raw);
-      if (in_block_comment) {
-        const std::size_t close = code.find("*/");
-        if (close == std::string_view::npos) continue;
-        code = code.substr(close + 2);
-        in_block_comment = false;
-      }
-      std::string code_buf;
-      while (true) {
-        const std::size_t open = code.find("/*");
-        if (open == std::string_view::npos) {
-          code_buf.append(code);
-          break;
-        }
-        code_buf.append(code.substr(0, open));
-        const std::size_t close = code.find("*/", open + 2);
-        if (close == std::string_view::npos) {
-          in_block_comment = true;
-          break;
-        }
-        code = code.substr(close + 2);
-      }
-      const std::string& code_str = code_buf;
-
-      if (starts_with_marker(code_str, "SCION_HOT_FN")) {
+      if (starts_with_marker(code, "SCION_HOT_FN")) {
         fn_armed = true;
         fn_base_depth = depth;
       }
-      if (starts_with_marker(code_str, "SCION_HOT_PATH_BEGIN")) {
-        ++explicit_hot;
-      }
+      if (starts_with_marker(code, "SCION_HOT_PATH_BEGIN")) ++explicit_hot;
 
-      const bool in_fn_region = fn_armed;
-      const bool hot = in_fn_region || explicit_hot > 0;
-
-      if (hot) {
-        ++hot_lines_[name];
-        const auto allowed = [&](const std::string& rule) {
-          return std::find(effective_allow.begin(), effective_allow.end(),
-                           rule) != effective_allow.end();
-        };
+      if (fn_armed || explicit_hot > 0) {
+        tally(counts, file.name, hot_rules(), "hot-lines");
         const auto report = [&](const char* rule, std::string message) {
-          ++counts_[name][rule];
-          if (allowed(rule)) return;
-          findings.push_back(
-              Finding{name, static_cast<int>(i + 1), rule, std::move(message)});
+          tally(counts, file.name, hot_rules(), rule);
+          if (line.allows(rule)) return;
+          findings.push_back(Finding{file.name, static_cast<int>(i + 1), rule,
+                                     std::move(message)});
         };
 
-        if (std::regex_search(code_str, kNew) ||
-            std::regex_search(code_str, kMake)) {
+        if (std::regex_search(code, kNew) || std::regex_search(code, kMake)) {
           report("hot-alloc",
                  "heap allocation in a hot-path region; hoist to setup or "
                  "reuse a scratch buffer");
-        } else if (std::regex_search(code_str, kGrow)) {
+        } else if (std::regex_search(code, kGrow)) {
           report("hot-alloc",
                  "container growth in a hot-path region; preallocate outside "
                  "the per-event path");
-        } else if (std::regex_search(code_str, kContainerCtor)) {
+        } else if (std::regex_search(code, kContainerCtor)) {
           report("hot-alloc",
                  "owning container constructed in a hot-path region; hoist "
                  "the buffer out of the per-event path");
         }
 
-        if (std::regex_search(code_str, kString) ||
-            std::regex_search(code_str, kFormat)) {
+        if (std::regex_search(code, kString) ||
+            std::regex_search(code, kFormat)) {
           report("hot-string",
                  "std::string creation/formatting in a hot-path region; use "
                  "string_view, interned ids, or lazy trace fields");
@@ -337,12 +234,12 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
 
         if (have_types) {
           std::smatch m;
-          if (std::regex_search(code_str, m, kCopyCast)) {
+          if (std::regex_search(code, m, kCopyCast)) {
             report("hot-copy-arg",
                    "by-value any_cast of " + m[1].str() + " (~" +
                        std::to_string(size_of.find(m[1].str())->second) +
                        " bytes); cast to a const reference");
-          } else if (std::regex_search(code_str, m, kCopyDecl)) {
+          } else if (std::regex_search(code, m, kCopyDecl)) {
             report("hot-copy-arg",
                    m[1].str() + " (~" +
                        std::to_string(size_of.find(m[1].str())->second) +
@@ -352,17 +249,11 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
         }
 
         bool lookup_hit = false;
-        for (std::sregex_iterator it{code_str.begin(), code_str.end(),
-                                     kLookup},
-             end;
-             it != end && !lookup_hit; ++it) {
-          lookup_hit = maps.contains((*it)[1].str());
-        }
-        for (std::sregex_iterator it{code_str.begin(), code_str.end(),
-                                     kSubscript},
-             end;
-             it != end && !lookup_hit; ++it) {
-          lookup_hit = maps.contains((*it)[1].str());
+        for (const std::regex* pattern : {&kLookup, &kSubscript}) {
+          for (std::sregex_iterator it{code.begin(), code.end(), *pattern}, end;
+               it != end && !lookup_hit; ++it) {
+            lookup_hit = maps.contains((*it)[1].str());
+          }
         }
         if (lookup_hit) {
           report("hot-map-lookup",
@@ -370,14 +261,12 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
                  "dense array instead");
         }
 
-        for (std::sregex_iterator it{code_str.begin(), code_str.end(),
-                                     kSchedule},
-             end;
+        for (std::sregex_iterator it{code.begin(), code.end(), kSchedule}, end;
              it != end; ++it) {
           const std::size_t open =
               static_cast<std::size_t>(it->position(0)) +
               static_cast<std::size_t>(it->length(0)) - 1;
-          if (!call_args_have_label(code_str, lines, i, open)) {
+          if (!call_args_have_label(file.lines, i, open)) {
             report("hot-unlabeled-schedule",
                    "event scheduled/sent in a hot-path region without an "
                    "event label; pass an obs::EventLabel so profiler cost "
@@ -386,7 +275,7 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
         }
       }
 
-      for (char c : code_str) {
+      for (char c : code) {
         if (c == '{') {
           ++depth;
         } else if (c == '}') {
@@ -398,117 +287,8 @@ inline std::vector<Finding> HotPathAnalyzer::check() {
           }
         }
       }
-      if (starts_with_marker(code_str, "SCION_HOT_PATH_END") &&
-          explicit_hot > 0) {
+      if (starts_with_marker(code, "SCION_HOT_PATH_END") && explicit_hot > 0) {
         --explicit_hot;
-      }
-    }
-  }
-  return findings;
-}
-
-inline std::string HotPathAnalyzer::cost_report_json() const {
-  static const std::vector<std::string> kRules{
-      "hot-alloc", "hot-copy-arg", "hot-map-lookup", "hot-string",
-      "hot-unlabeled-schedule"};
-  std::map<std::string, int> totals;
-  int total_hot_lines = 0;
-  std::set<std::string> file_set;
-  for (const auto& [file, n] : hot_lines_) {
-    file_set.insert(file);
-    total_hot_lines += n;
-  }
-  for (const auto& [file, rules] : counts_) {
-    file_set.insert(file);
-    for (const auto& [rule, n] : rules) totals[rule] += n;
-  }
-
-  std::string out;
-  out += "{\n  \"version\": 1,\n  \"files\": [\n";
-  bool first_file = true;
-  for (const std::string& file : file_set) {
-    if (!first_file) out += ",\n";
-    first_file = false;
-    out += "    {\"file\": \"";
-    detail::json_escape_into(out, file);
-    out += "\", \"hot_lines\": ";
-    const auto hl = hot_lines_.find(file);
-    out += std::to_string(hl == hot_lines_.end() ? 0 : hl->second);
-    out += ", \"counts\": {";
-    bool first_rule = true;
-    const auto fc = counts_.find(file);
-    for (const std::string& rule : kRules) {
-      int n = 0;
-      if (fc != counts_.end()) {
-        const auto it = fc->second.find(rule);
-        if (it != fc->second.end()) n = it->second;
-      }
-      if (!first_rule) out += ", ";
-      first_rule = false;
-      out += "\"" + rule + "\": " + std::to_string(n);
-    }
-    out += "}}";
-  }
-  out += "\n  ],\n  \"totals\": {";
-  bool first_rule = true;
-  for (const std::string& rule : kRules) {
-    if (!first_rule) out += ", ";
-    first_rule = false;
-    const auto it = totals.find(rule);
-    out += "\"" + rule + "\": " +
-           std::to_string(it == totals.end() ? 0 : it->second);
-  }
-  if (!first_rule) out += ", ";
-  out += "\"hot_lines\": " + std::to_string(total_hot_lines);
-  out += "}\n}\n";
-  return out;
-}
-
-inline std::vector<Finding> HotPathAnalyzer::diff_baseline(
-    const std::string& baseline_json) const {
-  // The baseline is a prior cost_report_json(): a fixed shape we emitted
-  // ourselves, so a targeted scan (not a general JSON parser) is reliable.
-  static const std::regex kFileEntry{
-      R"re("file":\s*"((?:[^"\\]|\\.)*)"[^{}]*"counts":\s*\{([^}]*)\})re"};
-  static const std::regex kRuleCount{R"re("([a-z-]+)":\s*(\d+))re"};
-
-  std::map<std::string, std::map<std::string, int>> base;
-  for (std::sregex_iterator it{baseline_json.begin(), baseline_json.end(),
-                               kFileEntry},
-       end;
-       it != end; ++it) {
-    std::string file = (*it)[1].str();
-    // Un-escape the two characters json_escape_into escapes.
-    std::string unescaped;
-    for (std::size_t i = 0; i < file.size(); ++i) {
-      if (file[i] == '\\' && i + 1 < file.size()) ++i;
-      unescaped.push_back(file[i]);
-    }
-    const std::string counts = (*it)[2].str();
-    for (std::sregex_iterator rt{counts.begin(), counts.end(), kRuleCount},
-         rend;
-         rt != rend; ++rt) {
-      base[unescaped][(*rt)[1].str()] = std::stoi((*rt)[2].str());
-    }
-  }
-
-  std::vector<Finding> findings;
-  for (const auto& [file, rules] : counts_) {
-    const auto bit = base.find(file);
-    for (const auto& [rule, n] : rules) {
-      int baseline = 0;
-      if (bit != base.end()) {
-        const auto rit = bit->second.find(rule);
-        if (rit != bit->second.end()) baseline = rit->second;
-      }
-      if (n > baseline) {
-        findings.push_back(Finding{
-            file, 0, "hot-cost-regression",
-            "hot-path cost regression: " + rule + " count " +
-                std::to_string(n) + " exceeds baseline " +
-                std::to_string(baseline) +
-                " (tools/cost_baseline.json); remove the new cost or "
-                "update the baseline deliberately"});
       }
     }
   }

@@ -26,8 +26,6 @@
 // `simlint --dot=build/include_graph.dot src`.
 #pragma once
 
-#include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 #include <sstream>
@@ -36,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "tools/simlint_core.hpp"
+#include "tools/simlint_source.hpp"
 
 namespace scion::lint {
 
@@ -98,67 +96,28 @@ inline std::string module_of(std::string_view path) {
 /// The target of a project-local include directive in `code` (the quoted
 /// path of `#include "..."`), or "" if the line is not one.
 inline std::string quoted_include(std::string_view code) {
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= code.size() || code[i] != '#') return {};
-  ++i;
-  skip_ws();
-  if (code.substr(i, 7) != "include") return {};
-  i += 7;
-  skip_ws();
-  if (i >= code.size() || code[i] != '"') return {};
-  const std::size_t close = code.find('"', i + 1);
-  if (close == std::string_view::npos) return {};
-  return std::string{code.substr(i + 1, close - i - 1)};
-}
-
-/// True if `code` is a conditional-compilation directive of the given kind
-/// ("if", "ifdef", "ifndef", "elif", "else", "endif").
-inline bool is_pp(std::string_view code, std::string_view kind,
-                  std::string* rest = nullptr) {
-  std::size_t i = 0;
-  while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  if (i >= code.size() || code[i] != '#') return false;
-  ++i;
-  while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  if (code.substr(i, kind.size()) != kind) return false;
-  const std::size_t end = i + kind.size();
-  if (end < code.size() && (std::isalnum(static_cast<unsigned char>(code[end])) ||
-                            code[end] == '_')) {
-    return false;  // e.g. "#ifdef" is not "#if"
-  }
-  if (rest != nullptr) *rest = std::string{code.substr(end)};
-  return true;
-}
-
-/// True if the #if condition text disables the region outright (`0`/`false`).
-inline bool disabled_condition(std::string_view rest) {
-  std::size_t b = 0, e = rest.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(rest[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(rest[e - 1]))) --e;
-  const std::string_view cond = rest.substr(b, e - b);
-  return cond == "0" || cond == "false";
+  std::string rest;
+  if (!is_pp(code, "include", &rest)) return {};
+  const std::size_t open = rest.find_first_not_of(" \t");
+  if (open == std::string::npos || rest[open] != '"') return {};
+  const std::size_t close = rest.find('"', open + 1);
+  if (close == std::string::npos) return {};
+  return rest.substr(open + 1, close - open - 1);
 }
 
 }  // namespace detail
 
 class IncludeGraph {
  public:
-  IncludeGraph() : rules_{default_layering()} {}
+  using Rules = std::map<std::string, std::set<std::string>>;
 
-  /// Replaces the declared layering (tests use small synthetic DAGs).
-  void set_rules(std::map<std::string, std::set<std::string>> rules) {
-    rules_ = std::move(rules);
-  }
+  /// Reads the include edges of every file (sorted file order gives a
+  /// deterministic report) against the declared layering (tests pass
+  /// small synthetic DAGs).
+  explicit IncludeGraph(const std::vector<SourceFile>& files,
+                        Rules rules = default_layering());
 
-  /// Parses `content` for include edges. Call for every file before check();
-  /// feed files in sorted order for a deterministic report.
-  void add_file(const std::string& path, const std::string& content);
-
-  /// Layering and cycle findings over all registered files.
+  /// Layering and cycle findings over all files.
   std::vector<Finding> check() const;
 
   /// The observed module graph as deterministic DOT (sorted nodes/edges,
@@ -175,88 +134,28 @@ class IncludeGraph {
     bool suppressed{false};  // simlint:allow(layering)
   };
 
-  std::map<std::string, std::set<std::string>> rules_;
-  std::vector<Edge> edges_;  // registration order (= file order, line order)
+  Rules rules_;
+  std::vector<Edge> edges_;  // file order, line order
 };
 
-inline void IncludeGraph::add_file(const std::string& path,
-                                   const std::string& content) {
-  using namespace detail;
-  const std::string module = module_of(path);
-  if (module.empty()) return;  // outside the layered src/ tree
-
-  const std::vector<std::string> lines = split_lines(content);
-  bool in_block_comment = false;
-  int disabled_depth = 0;  // nesting depth inside an `#if 0` region
-  std::vector<std::string> carried_allow;
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& raw = lines[i];
-    std::vector<std::string> allow = allowed_rules(raw);
-    const std::vector<std::string> effective_allow = [&] {
-      std::vector<std::string> v = carried_allow;
-      v.insert(v.end(), allow.begin(), allow.end());
-      return v;
-    }();
-    carried_allow = std::move(allow);
-
-    // Comment stripping: same state machine as Linter::run(). An include
-    // spelled inside /* ... */ is documentation, not an edge.
-    std::string_view code = code_part(raw);
-    if (in_block_comment) {
-      const std::size_t close = code.find("*/");
-      if (close == std::string_view::npos) continue;
-      code = code.substr(close + 2);
-      in_block_comment = false;
+inline IncludeGraph::IncludeGraph(const std::vector<SourceFile>& files,
+                                  Rules rules)
+    : rules_{std::move(rules)} {
+  for (const SourceFile& file : files) {
+    const std::string module = detail::module_of(file.name);
+    if (module.empty()) continue;  // outside the layered src/ tree
+    for (std::size_t i = 0; i < file.lines.size(); ++i) {
+      const SourceLine& line = file.lines[i];
+      if (line.disabled) continue;
+      // The target is a literal, so this reads the literal-keeping view.
+      const std::string target = detail::quoted_include(line.code);
+      const std::size_t slash = target.find('/');
+      if (slash == std::string::npos) continue;  // none, or same-directory
+      const std::string to = target.substr(0, slash);
+      if (to == module) continue;  // intra-module
+      edges_.push_back(Edge{file.name, static_cast<int>(i + 1), module, to,
+                            line.allows("layering")});
     }
-    std::string code_buf;
-    while (true) {
-      const std::size_t open = code.find("/*");
-      if (open == std::string_view::npos) {
-        code_buf.append(code);
-        break;
-      }
-      code_buf.append(code.substr(0, open));
-      const std::size_t close = code.find("*/", open + 2);
-      if (close == std::string_view::npos) {
-        in_block_comment = true;
-        break;
-      }
-      code = code.substr(close + 2);
-    }
-
-    // `#if 0` tracking: a disabled region contributes no edges. Inner #if
-    // blocks nest; `#else`/`#elif` of the disabling #if re-enables.
-    std::string cond;
-    if (disabled_depth > 0) {
-      if (is_pp(code_buf, "if") || is_pp(code_buf, "ifdef") ||
-          is_pp(code_buf, "ifndef")) {
-        ++disabled_depth;
-      } else if (is_pp(code_buf, "endif")) {
-        --disabled_depth;
-      } else if (disabled_depth == 1 &&
-                 (is_pp(code_buf, "else") || is_pp(code_buf, "elif"))) {
-        disabled_depth = 0;
-      }
-      continue;
-    }
-    if (is_pp(code_buf, "if", &cond) && disabled_condition(cond)) {
-      disabled_depth = 1;
-      continue;
-    }
-
-    const std::string target = quoted_include(code_buf);
-    if (target.empty()) continue;
-    const std::size_t slash = target.find('/');
-    if (slash == std::string::npos) continue;  // same-directory include
-    const std::string to = target.substr(0, slash);
-    if (to == module) continue;  // intra-module
-
-    const bool suppressed =
-        std::find(effective_allow.begin(), effective_allow.end(),
-                  "layering") != effective_allow.end();
-    edges_.push_back(
-        Edge{path, static_cast<int>(i + 1), module, to, suppressed});
   }
 }
 

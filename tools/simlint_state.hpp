@@ -26,27 +26,27 @@
 //                     nothing about that member, silently.
 //
 // The full inventory — including allowlisted and simlint:allow-suppressed
-// sites, plus a `guarded-member` count of annotated members — is emitted as
-// deterministic JSON (--state-report=PATH) and diffed against the
-// checked-in tools/state_baseline.json (--state-baseline=PATH): any
-// per-(file, rule) count increase is a `state-regression` finding, exactly
-// like the PR 6 hot-path cost baseline. New shared state therefore cannot
-// land by accident; it lands by regenerating the baseline in the same PR
-// that argues for it (see DESIGN.md "Concurrency discipline").
+// sites, plus a fixed, ungated `guarded-member` count of annotated members —
+// goes into the lint inventory (simlint_source.hpp): the driver's
+// --report=PATH writes it and --baseline=PATH diffs it against the
+// checked-in tools/lint_baseline.json, where any per-(file, rule) count
+// increase is a `baseline-regression` finding, exactly like the hot-path
+// cost counts. New shared state therefore cannot land by accident; it lands
+// by regenerating the baseline in the same change that argues for it (see
+// DESIGN.md "Concurrency discipline").
 //
-// Scanning is a per-line state machine that strips comments and string /
-// character literals (so braces and keywords inside literals — e.g. the
-// JSON emitters in this very directory — never confuse scope tracking),
-// skips `#if 0` regions, and honours allow directives on the offending line
-// or the line above. Known, accepted imprecision of a line scanner:
+// Scanning is a per-line state machine over the bare lines of the source
+// model (comments and string / character literals blanked, so braces and
+// keywords inside literals — e.g. the JSON emitters in this very directory
+// — never confuse scope tracking), skips `#if 0` regions, and honours allow
+// directives on the offending line or the line above. Known, accepted
+// imprecision of a line scanner:
 // `static const char* p` (mutable pointer to const pointee) passes the
 // const test, and scope classification is lexical (the keyword preceding
 // the opening brace).
 #pragma once
 
-#include <algorithm>
 #include <cctype>
-#include <map>
 #include <regex>
 #include <set>
 #include <string>
@@ -54,20 +54,20 @@
 #include <utility>
 #include <vector>
 
-#include "tools/simlint_core.hpp"
-#include "tools/simlint_hotpath.hpp"
-#include "tools/simlint_includes.hpp"
+#include "tools/simlint_source.hpp"
 
 namespace scion::lint {
 
-/// Built-in allowlist for the mutable-global rule: (file suffix, variable
-/// name) pairs naming the sanctioned magic statics — the interned
-/// metric/label registries that anchor the telemetry layer. Anything else
-/// justifies itself with an in-source `// simlint:allow(mutable-global)`
-/// directive, so the reasoning lives next to the declaration.
-inline const std::vector<std::pair<std::string, std::string>>&
-default_state_allowlist() {
-  static const std::vector<std::pair<std::string, std::string>> kAllow{
+/// (file suffix, variable name) pairs the mutable-global rule exempts.
+using Allowlist = std::vector<std::pair<std::string, std::string>>;
+
+/// Built-in allowlist for the mutable-global rule: the sanctioned magic
+/// statics — the interned metric/label registries that anchor the
+/// telemetry layer. Anything else justifies itself with an in-source
+/// `// simlint:allow(mutable-global)` directive, so the reasoning lives
+/// next to the declaration.
+inline const Allowlist& default_state_allowlist() {
+  static const Allowlist kAllow{
       {"src/obs/event_profile.cpp", "profiler"},  // EventProfiler::global()
       {"src/obs/metrics.cpp", "registry"},        // MetricsRegistry::global()
       {"src/obs/profile.cpp", "profiler"},        // PhaseProfiler::global()
@@ -75,139 +75,14 @@ default_state_allowlist() {
   return kAllow;
 }
 
-class StateAnalyzer {
- public:
-  void add_file(std::string name, std::string content) {
-    files_.emplace_back(std::move(name), std::move(content));
-  }
-
-  /// Replaces the built-in allowlist (tests use an empty one).
-  void set_allowlist(std::vector<std::pair<std::string, std::string>> allow) {
-    allowlist_ = std::move(allow);
-  }
-
-  /// Scans every registered file; returns unsuppressed findings in file
-  /// order and accumulates the counts behind state_report_json().
-  std::vector<Finding> check();
-
-  /// Deterministic JSON inventory: per-file and total counts of
-  /// mutable-global and unguarded-shared sites (allowlisted and
-  /// simlint:allow-suppressed ones included) plus guarded-member (members
-  /// carrying SCION_GUARDED_BY). Written by the driver's
-  /// --state-report=PATH; diffed against --state-baseline=PATH.
-  std::string state_report_json() const;
-
-  /// Compares accumulated counts against a baseline report (the JSON text
-  /// produced by state_report_json on an earlier tree). Any per-file
-  /// per-rule increase — files absent from the baseline count as zero — is
-  /// a "state-regression" finding naming the file, the rule, and both
-  /// counts. Run check() first.
-  std::vector<Finding> diff_baseline(const std::string& baseline_json) const;
-
- private:
-  void scan_file(const std::string& name, const std::string& content,
-                 std::vector<Finding>& findings);
-
-  std::vector<std::pair<std::string, std::string>> files_;
-  std::vector<std::pair<std::string, std::string>> allowlist_ =
-      default_state_allowlist();
-  // file -> rule -> count (allowed/allowlisted sites included: the report
-  // is the budget, the lint findings are the gate).
-  std::map<std::string, std::map<std::string, int>> counts_;
-};
+/// Counted rules; `guarded-member` counts the annotated members.
+inline const std::vector<std::string>& state_rules() {
+  static const std::vector<std::string> kRules{
+      "guarded-member", "mutable-global", "unguarded-shared"};
+  return kRules;
+}
 
 namespace state_detail {
-
-/// Carries multi-line lexical state for strip_noncode().
-struct LineScanState {
-  bool in_block_comment{false};
-  bool in_raw_string{false};
-  std::string raw_delim;
-};
-
-/// Returns `line` with comments and string/character literals blanked out,
-/// so downstream regexes and the brace tracker only ever see real code.
-/// Handles // and /*...*/ comments (the latter across lines), "..." with
-/// escapes, R"delim(...)delim" raw strings (across lines), '...' character
-/// literals, and leaves numeric digit separators (1'000'000) alone.
-inline std::string strip_noncode(const std::string& line, LineScanState& st) {
-  std::string out;
-  out.reserve(line.size());
-  std::size_t i = 0;
-  const std::size_t n = line.size();
-  if (st.in_block_comment) {
-    const std::size_t close = line.find("*/");
-    if (close == std::string::npos) return out;
-    i = close + 2;
-    st.in_block_comment = false;
-  } else if (st.in_raw_string) {
-    const std::string end = ")" + st.raw_delim + "\"";
-    const std::size_t close = line.find(end);
-    if (close == std::string::npos) return out;
-    i = close + end.size();
-    st.in_raw_string = false;
-    out.push_back(' ');
-  }
-  while (i < n) {
-    const char c = line[i];
-    if (c == '/' && i + 1 < n && line[i + 1] == '/') break;
-    if (c == '/' && i + 1 < n && line[i + 1] == '*') {
-      const std::size_t close = line.find("*/", i + 2);
-      if (close == std::string::npos) {
-        st.in_block_comment = true;
-        return out;
-      }
-      i = close + 2;
-      out.push_back(' ');
-      continue;
-    }
-    if (c == '"') {
-      const bool raw =
-          i > 0 && line[i - 1] == 'R' &&
-          (i < 2 || (!std::isalnum(static_cast<unsigned char>(line[i - 2])) &&
-                     line[i - 2] != '_'));
-      if (raw) {
-        const std::size_t paren = line.find('(', i + 1);
-        if (paren == std::string::npos) return out;  // malformed; bail out
-        const std::string delim = line.substr(i + 1, paren - (i + 1));
-        const std::string end = ")" + delim + "\"";
-        const std::size_t close = line.find(end, paren + 1);
-        if (close == std::string::npos) {
-          st.in_raw_string = true;
-          st.raw_delim = delim;
-          return out;
-        }
-        i = close + end.size();
-      } else {
-        std::size_t j = i + 1;
-        while (j < n && line[j] != '"') {
-          if (line[j] == '\\') ++j;
-          ++j;
-        }
-        i = j < n ? j + 1 : n;
-      }
-      out.push_back(' ');
-      continue;
-    }
-    // A quote after an identifier/digit character is a digit separator
-    // (1'000'000) or part of a literal suffix, not a character literal.
-    if (c == '\'' &&
-        (i == 0 || (!std::isalnum(static_cast<unsigned char>(line[i - 1])) &&
-                    line[i - 1] != '_'))) {
-      std::size_t j = i + 1;
-      while (j < n && line[j] != '\'') {
-        if (line[j] == '\\') ++j;
-        ++j;
-      }
-      i = j < n ? j + 1 : n;
-      out.push_back(' ');
-      continue;
-    }
-    out.push_back(c);
-    ++i;
-  }
-  return out;
-}
 
 /// Lexical scope kinds for brace tracking. The file's top level counts as
 /// namespace scope.
@@ -322,26 +197,10 @@ inline bool is_sync_member(std::string_view decl) {
   return std::regex_search(std::string{decl}, kSync);
 }
 
-}  // namespace state_detail
-
-inline std::vector<Finding> StateAnalyzer::check() {
-  std::vector<Finding> findings;
-  counts_.clear();
-  for (const auto& [name, content] : files_) {
-    scan_file(name, content, findings);
-  }
-  return findings;
-}
-
-inline void StateAnalyzer::scan_file(const std::string& name,
-                                     const std::string& content,
-                                     std::vector<Finding>& findings) {
-  using detail::allowed_rules;
-  using detail::disabled_condition;
-  using detail::is_pp;
-  using detail::split_lines;
-  using namespace state_detail;
-
+/// Scans one file: appends its unsuppressed findings and tallies every
+/// site (allowlisted and allowed ones included) into `counts`.
+inline void scan_state(const SourceFile& file, const Allowlist& allowlist,
+                       Counts& counts, std::vector<Finding>& findings) {
   // static / thread_local declarator, any scope.
   static const std::regex kStatic{R"(\b(static|thread_local)\b)"};
   // Namespace-scope declaration: optional specifier run, a type token
@@ -352,18 +211,13 @@ inline void StateAnalyzer::scan_file(const std::string& name,
       R"((?:::)?[A-Za-z_][\w:]*(?:\s*<[^;]*>)?(?:\s*[*&]|\s)+)"
       R"([A-Za-z_]\w*(?:\[\w*\])?\s*(?:=[^=]|\{|;))"};
 
+  const std::string& name = file.name;
   const auto allowlisted = [&](const std::string& var) {
-    for (const auto& [file_suffix, entry] : allowlist_) {
-      if (entry == var && name.size() >= file_suffix.size() &&
-          name.compare(name.size() - file_suffix.size(), file_suffix.size(),
-                       file_suffix) == 0) {
-        return true;
-      }
+    for (const auto& [file_suffix, entry] : allowlist) {
+      if (entry == var && name.ends_with(file_suffix)) return true;
     }
     return false;
   };
-
-  const std::vector<std::string> lines = split_lines(content);
 
   // Scope stack; the top level is namespace scope. Class scopes collect the
   // member declarations at their immediate depth and are evaluated for
@@ -384,10 +238,7 @@ inline void StateAnalyzer::scan_file(const std::string& name,
   std::vector<ClassScope> class_scopes;
   int depth = 0;
 
-  LineScanState lex;
-  std::vector<std::string> carried_allow;
-  int disabled_depth = 0;  // inside `#if 0` / `#if false`
-  int paren_depth = 0;     // unclosed `(` from earlier lines
+  int paren_depth = 0;  // unclosed `(` from earlier lines
 
   // Member declaration joined across continuation lines (wrapped before
   // its `;`, e.g. a long type with SCION_GUARDED_BY on the next line).
@@ -404,41 +255,10 @@ inline void StateAnalyzer::scan_file(const std::string& name,
     pending_joined = 0;
   };
 
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& raw = lines[i];
-    std::vector<std::string> allow = allowed_rules(raw);
-    std::vector<std::string> effective_allow = carried_allow;
-    effective_allow.insert(effective_allow.end(), allow.begin(), allow.end());
-    carried_allow = std::move(allow);
-
-    const std::string code_str = strip_noncode(raw, lex);
-
-    // `#if 0` discipline, same as the include-graph analyzer: disabled
-    // regions contribute nothing to the inventory.
-    std::string cond;
-    if (disabled_depth > 0) {
-      if (is_pp(code_str, "if") || is_pp(code_str, "ifdef") ||
-          is_pp(code_str, "ifndef")) {
-        ++disabled_depth;
-      } else if (is_pp(code_str, "endif")) {
-        --disabled_depth;
-      } else if (disabled_depth == 1 &&
-                 (is_pp(code_str, "else") || is_pp(code_str, "elif"))) {
-        disabled_depth = 0;
-      }
-      continue;
-    }
-    if (is_pp(code_str, "if", &cond) && disabled_condition(cond)) {
-      disabled_depth = 1;
-      continue;
-    }
-
-    const bool allowed_mutable_global =
-        std::find(effective_allow.begin(), effective_allow.end(),
-                  "mutable-global") != effective_allow.end();
-    const bool allowed_unguarded =
-        std::find(effective_allow.begin(), effective_allow.end(),
-                  "unguarded-shared") != effective_allow.end();
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    const SourceLine& line = file.lines[i];
+    if (line.disabled) continue;  // disabled regions count nothing
+    const std::string& code_str = line.bare;
 
     const std::string word = first_word(code_str);
     const bool keyword = keyword_line(word);
@@ -462,8 +282,8 @@ inline void StateAnalyzer::scan_file(const std::string& name,
 
     const auto report_mutable_global = [&](const std::string& var,
                                            const char* what) {
-      ++counts_[name]["mutable-global"];
-      if (allowed_mutable_global || allowlisted(var)) return;
+      tally(counts, name, state_rules(), "mutable-global");
+      if (line.allows("mutable-global") || allowlisted(var)) return;
       findings.push_back(Finding{
           name, static_cast<int>(i + 1), "mutable-global",
           std::string{what} + " `" + var +
@@ -514,7 +334,8 @@ inline void StateAnalyzer::scan_file(const std::string& name,
           pending_annotated ||
           code_str.find("SCION_GUARDED_BY(") != std::string::npos ||
           code_str.find("SCION_PT_GUARDED_BY(") != std::string::npos;
-      const bool line_allowed = pending_allowed || allowed_unguarded;
+      const bool line_allowed =
+          pending_allowed || line.allows("unguarded-shared");
       const int decl_line =
           pending_member.empty() ? static_cast<int>(i + 1) : pending_line;
       const bool terminated = text.find(';') != std::string::npos ||
@@ -569,10 +390,10 @@ inline void StateAnalyzer::scan_file(const std::string& name,
                 if (is_sync_member(m.decl)) continue;
                 if (has_const_token(m.decl)) continue;
                 if (m.annotated) {
-                  ++counts_[name]["guarded-member"];
+                  tally(counts, name, state_rules(), "guarded-member");
                   continue;
                 }
-                ++counts_[name]["unguarded-shared"];
+                tally(counts, name, state_rules(), "unguarded-shared");
                 if (m.allowed) continue;
                 findings.push_back(Finding{
                     name, m.line, "unguarded-shared",
@@ -593,95 +414,16 @@ inline void StateAnalyzer::scan_file(const std::string& name,
   }
 }
 
-inline std::string StateAnalyzer::state_report_json() const {
-  static const std::vector<std::string> kRules{
-      "guarded-member", "mutable-global", "unguarded-shared"};
-  std::map<std::string, int> totals;
-  for (const auto& [file, rules] : counts_) {
-    for (const auto& [rule, n] : rules) totals[rule] += n;
-  }
+}  // namespace state_detail
 
-  std::string out;
-  out += "{\n  \"version\": 1,\n  \"files\": [\n";
-  bool first_file = true;
-  for (const auto& [file, rules] : counts_) {
-    if (!first_file) out += ",\n";
-    first_file = false;
-    out += "    {\"file\": \"";
-    detail::json_escape_into(out, file);
-    out += "\", \"counts\": {";
-    bool first_rule = true;
-    for (const std::string& rule : kRules) {
-      const auto it = rules.find(rule);
-      if (!first_rule) out += ", ";
-      first_rule = false;
-      out += "\"" + rule +
-             "\": " + std::to_string(it == rules.end() ? 0 : it->second);
-    }
-    out += "}}";
-  }
-  out += "\n  ],\n  \"totals\": {";
-  bool first_rule = true;
-  for (const std::string& rule : kRules) {
-    if (!first_rule) out += ", ";
-    first_rule = false;
-    const auto it = totals.find(rule);
-    out += "\"" + rule +
-           "\": " + std::to_string(it == totals.end() ? 0 : it->second);
-  }
-  out += "}\n}\n";
-  return out;
-}
-
-inline std::vector<Finding> StateAnalyzer::diff_baseline(
-    const std::string& baseline_json) const {
-  // The baseline is a prior state_report_json(): a fixed shape we emitted
-  // ourselves, so a targeted scan (not a general JSON parser) is reliable.
-  static const std::regex kFileEntry{
-      R"re("file":\s*"((?:[^"\\]|\\.)*)"[^{}]*"counts":\s*\{([^}]*)\})re"};
-  static const std::regex kRuleCount{R"re("([a-z-]+)":\s*(\d+))re"};
-
-  std::map<std::string, std::map<std::string, int>> base;
-  for (std::sregex_iterator it{baseline_json.begin(), baseline_json.end(),
-                               kFileEntry},
-       end;
-       it != end; ++it) {
-    const std::string file = (*it)[1].str();
-    // Un-escape the two characters json_escape_into escapes.
-    std::string unescaped;
-    for (std::size_t i = 0; i < file.size(); ++i) {
-      if (file[i] == '\\' && i + 1 < file.size()) ++i;
-      unescaped.push_back(file[i]);
-    }
-    const std::string counts = (*it)[2].str();
-    for (std::sregex_iterator rt{counts.begin(), counts.end(), kRuleCount},
-         rend;
-         rt != rend; ++rt) {
-      base[unescaped][(*rt)[1].str()] = std::stoi((*rt)[2].str());
-    }
-  }
-
+/// Shared-state findings over every file, in file order; every site
+/// (allowlisted and allowed ones included) is tallied into `counts`.
+inline std::vector<Finding> check_shared_state(
+    const std::vector<SourceFile>& files, Counts& counts,
+    const Allowlist& allowlist = default_state_allowlist()) {
   std::vector<Finding> findings;
-  for (const auto& [file, rules] : counts_) {
-    const auto bit = base.find(file);
-    for (const auto& [rule, n] : rules) {
-      if (rule == "guarded-member") continue;  // more annotations is progress
-      int baseline = 0;
-      if (bit != base.end()) {
-        const auto rit = bit->second.find(rule);
-        if (rit != bit->second.end()) baseline = rit->second;
-      }
-      if (n > baseline) {
-        findings.push_back(Finding{
-            file, 0, "state-regression",
-            "shared-state regression in " + file + ": " + rule + " count " +
-                std::to_string(n) + " exceeds baseline " +
-                std::to_string(baseline) +
-                " (tools/state_baseline.json); remove the new shared state "
-                "or annotate it and regenerate the baseline deliberately "
-                "(see DESIGN.md, Concurrency discipline)"});
-      }
-    }
+  for (const SourceFile& file : files) {
+    state_detail::scan_state(file, allowlist, counts, findings);
   }
   return findings;
 }
